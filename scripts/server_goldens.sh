@@ -2,9 +2,12 @@
 # Golden-request gate for the pp-server HTTP service.
 #
 # Boots a release pp-server on loopback, fires the scripted request set —
-# a named-protocol run, a formula compile-and-run, a fault ensemble, and
-# a mean-field query — and diffs each response body byte-for-byte against
-# the checked-in goldens in tests/goldens/server/. Because reports carry
+# a named-protocol run, a formula compile-and-run, a fault ensemble, a
+# mean-field query, agents runs on a CSR torus and on an edge-list line,
+# a consensus-stop run, and two /v1/stream JSONL runs (sequential and
+# batched) — and diffs each response body byte-for-byte against the
+# checked-in goldens in tests/goldens/server/ (`.json` for /v1/run,
+# `.jsonl` for /v1/stream). Because reports carry
 # no wall-clock fields and every request is seeded, the bodies are stable
 # across machines, thread counts, and restarts; any diff is a real
 # determinism or wire-format regression.
@@ -35,10 +38,12 @@ for _ in $(seq 1 50); do
 done
 curl -sf "$BASE/healthz" >/dev/null
 
-# The scripted request set. Each entry: golden file name + request body.
-# Population order is semantic (it fixes the interning order, hence the
-# RNG stream) — do not reorder keys inside "population".
+# The scripted request set. Each entry: golden name + request body; the
+# entry's ENDPOINT defaults to /v1/run. Population order is semantic (it
+# fixes the interning order, hence the RNG stream) — do not reorder keys
+# inside "population".
 declare -A REQUESTS
+declare -A ENDPOINTS
 REQUESTS[protocol_run]='{
     "protocol": {"name": "majority"},
     "population": {"1": 6, "0": 4},
@@ -69,14 +74,61 @@ REQUESTS[mean_field]='{
     "engine": "mean-field",
     "mean_field": {"horizon": 50.0}
 }'
+REQUESTS[agents_torus]='{
+    "protocol": {"name": "majority"},
+    "population": {"1": 7, "0": 5},
+    "seed": 3,
+    "engine": "agents",
+    "topology": {"kind": "torus2d", "w": 4, "h": 3},
+    "horizon": 200000
+}'
+REQUESTS[agents_line_ensemble]='{
+    "protocol": {"name": "majority"},
+    "population": {"1": 5, "0": 3},
+    "seed": 13,
+    "engine": "agents",
+    "topology": {"kind": "line"},
+    "trials": 4,
+    "horizon": 200000
+}'
+REQUESTS[consensus_run]='{
+    "protocol": {"name": "approximate-majority"},
+    "population": {"1": 12, "0": 8},
+    "seed": 21,
+    "stop": "consensus",
+    "horizon": 50000
+}'
+REQUESTS[stream_sequential]='{
+    "protocol": {"name": "parity"},
+    "population": {"0": 4, "1": 3},
+    "seed": 9,
+    "horizon": 2000,
+    "probe": {"kind": "jsonl", "stride": 10}
+}'
+ENDPOINTS[stream_sequential]=/v1/stream
+REQUESTS[stream_batched_fixed]='{
+    "protocol": {"name": "majority"},
+    "population": {"1": 60, "0": 40},
+    "seed": 5,
+    "engine": "batched",
+    "stop": "fixed",
+    "horizon": 20000,
+    "probe": {"kind": "jsonl", "stride": 100}
+}'
+ENDPOINTS[stream_batched_fixed]=/v1/stream
 
 mkdir -p "$GOLDEN_DIR"
 status=0
-for name in protocol_run formula_run fault_ensemble mean_field; do
-    got=$(curl -sf -X POST "$BASE/v1/run" \
+for name in protocol_run formula_run fault_ensemble mean_field \
+    agents_torus agents_line_ensemble consensus_run \
+    stream_sequential stream_batched_fixed; do
+    endpoint=${ENDPOINTS[$name]:-/v1/run}
+    got=$(curl -sf -X POST "$BASE$endpoint" \
         -H 'Content-Type: application/json' \
         -d "${REQUESTS[$name]}")
-    golden="$GOLDEN_DIR/$name.json"
+    ext=json
+    [ "$endpoint" = /v1/stream ] && ext=jsonl
+    golden="$GOLDEN_DIR/$name.$ext"
     if [ "${PP_UPDATE_GOLDENS:-0}" = "1" ]; then
         printf '%s' "$got" > "$golden"
         echo "updated $golden"
