@@ -67,11 +67,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{AgentSimulation, Simulation};
+use crate::engine::Simulation;
 use crate::faults::{FaultPlan, FaultRunReport};
 use crate::observe::MergeProbe;
 use crate::protocol::Protocol;
-use crate::scheduler::PairSampler;
 use crate::trace::{SpanKind, SpanStats, Tracer};
 
 // ---------------------------------------------------------------------------
@@ -117,8 +116,9 @@ pub enum SeedMode {
 // ---------------------------------------------------------------------------
 
 /// A deterministic multi-threaded Monte Carlo executor: `T` independent
-/// trials of any [`Simulation`]/[`AgentSimulation`] workload, bit-identical
-/// results at any thread count. See the [module docs](crate::ensemble).
+/// trials of any [`Simulation`]/[`AgentSimulation`](crate::engine::AgentSimulation)
+/// workload, bit-identical results at any thread count. See the
+/// [module docs](crate::ensemble).
 #[derive(Debug, Clone)]
 pub struct Ensemble {
     trials: u64,
@@ -447,33 +447,6 @@ impl Ensemble {
             sim.measure_stabilization_batched(expected, horizon, rng)
                 .stabilized_at
                 .map(|t| t as f64)
-        })
-    }
-
-    /// Ensemble of [`AgentSimulation::measure_stabilization`] for
-    /// graph-restricted or scripted workloads.
-    ///
-    /// **New call sites should route through the spec layer instead**:
-    /// build a [`RunSpec`](crate::spec::RunSpec) with
-    /// `engine: `[`EngineSel::Agents`](crate::spec::EngineSel) and
-    /// dispatch it via [`run_agents`](crate::spec::run_agents), which
-    /// materializes the topology and sampler exactly once per trial.
-    /// This method stays as the executor those dispatchers call into.
-    pub fn measure_stabilization_agents<P, S, F>(
-        &self,
-        make: F,
-        expected: &P::Output,
-        horizon: u64,
-    ) -> EnsembleReport
-    where
-        P: Protocol,
-        P::Output: Sync,
-        S: PairSampler,
-        F: Fn(u64) -> AgentSimulation<P, S> + Sync,
-    {
-        self.summarize(|trial, rng| {
-            let mut sim = make(trial);
-            sim.measure_stabilization(expected, horizon, rng).stabilized_at.map(|t| t as f64)
         })
     }
 

@@ -29,8 +29,9 @@
 //! This module owns the pieces that only need `pp-core`: the spec and
 //! report types, a dependency-free JSON codec, and the dispatchers
 //! [`run_counts`] (count engine: sequential/batched, single/ensemble,
-//! faulted or not) and [`run_agents`] (agent engine on an arbitrary
-//! scheduler). Resolution of protocol *references* (registry names,
+//! faulted or not; [`run_counts_with`] is the same dispatcher carrying a
+//! probe) and [`run_agents`] (agent engine on an arbitrary scheduler).
+//! Resolution of protocol *references* (registry names,
 //! Presburger compilation, topology construction, mean-field integration)
 //! lives one layer up in the `pp-server` crate, which routes every request
 //! — HTTP, CLI, or bench — through `pp_server::api::execute`.
@@ -39,7 +40,6 @@ use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::engine::{seeded_rng, AgentSimulation, Simulation};
 use crate::ensemble::{Ensemble, EnsembleReport, SeedMode};
@@ -47,6 +47,7 @@ use crate::faults::{
     CorruptionMode, CrashFaults, FaultCtx, FaultPlan, InteractionDrop, Mttr,
     TransientCorruption,
 };
+use crate::observe::{NoProbe, Probe};
 use crate::protocol::Protocol;
 use crate::scheduler::PairSampler;
 
@@ -1405,20 +1406,17 @@ impl RunReport {
 // The core dispatchers
 // ---------------------------------------------------------------------------
 
-fn outputs_of<P, Pr, Tr>(sim: &Simulation<P, Pr, Tr>) -> Vec<(String, u64)>
-where
-    P: Protocol,
-    Pr: crate::observe::Probe,
-    Tr: crate::trace::Tracer,
-{
-    sim.output_histogram().iter().map(|(o, c)| (format!("{o:?}"), *c)).collect()
+/// Renders an engine's output histogram for [`SingleRun::outputs`].
+fn outputs_of<O: fmt::Debug>(histogram: Vec<(O, u64)>) -> Vec<(String, u64)> {
+    histogram.into_iter().map(|(o, c)| (format!("{o:?}"), c)).collect()
 }
 
 /// Runs `spec` on the **count engine** (complete interaction graph):
 /// sequential or batched, one trial or a deterministic ensemble, faulted
 /// or clean. This is the single seam every count-based front end routes
 /// through; it reproduces, stream-for-stream, what the historical direct
-/// calls produced.
+/// calls produced. [`run_counts_with`] is the same dispatcher with a
+/// probe attached.
 ///
 /// `pairs` are `(input, count)` in spec order (order fixes interning and
 /// the RNG stream), `expected` is the ground-truth output measured
@@ -1438,6 +1436,34 @@ where
     P: Protocol + Clone + Send + Sync,
     P::Input: Sync,
     P::Output: Sync,
+{
+    run_counts_with(spec, protocol, pairs, expected, NoProbe).map(|(outcome, _)| outcome)
+}
+
+/// [`run_counts`] with `probe` attached to the single-trial run, handed
+/// back when the run ends (so a [`JsonlSink`](crate::observe::JsonlSink)
+/// caller can recover its writer). Ensembles and faulted runs return the
+/// probe untouched. With [`NoProbe`] this is exactly [`run_counts`]: the
+/// probe hooks compile away and the RNG stream is unchanged. An active
+/// probe leaves the sequential engine's stream unchanged too, but moves
+/// the batched engine from multi-run windows to single-run batches that
+/// replay every interaction to the probe (equal in law, not per seed).
+///
+/// # Errors
+///
+/// As [`run_counts`].
+pub fn run_counts_with<P, Pr>(
+    spec: &RunSpec,
+    protocol: &P,
+    pairs: &[(P::Input, u64)],
+    expected: &P::Output,
+    probe: Pr,
+) -> Result<(RunOutcome, Pr), SpecError>
+where
+    P: Protocol + Clone + Send + Sync,
+    P::Input: Sync,
+    P::Output: Sync,
+    Pr: Probe,
 {
     let horizon = spec.effective_horizon();
     let batched = match spec.engine {
@@ -1485,49 +1511,35 @@ where
             dropped += r.dropped;
             recovered += u64::from(r.recovered());
         }
-        return Ok(RunOutcome::Faults(FaultSummary {
+        let summary = FaultSummary {
             trials: runs.len() as u64,
             recovered,
             faults_injected: injected,
             dropped,
             mttr_json: mttr.to_json(),
-        }));
+        };
+        return Ok((RunOutcome::Faults(summary), probe));
+    }
+    if spec.stop == StopCondition::Consensus && batched {
+        return Err(SpecError::Unsupported(
+            "stop=\"consensus\" runs on the sequential engine".to_string(),
+        ));
     }
 
     if spec.trials == 1 {
         let mut rng = seeded_rng(spec.seed);
-        let mut sim = make(0);
-        let outcome = match spec.stop {
+        let mut sim = make(0).with_probe(probe);
+        let (stabilized_at, silent_tail) = match spec.stop {
             StopCondition::Stabilization => {
                 let rep = if batched {
                     sim.measure_stabilization_batched(expected, horizon, &mut rng)
                 } else {
                     sim.measure_stabilization(expected, horizon, &mut rng)
                 };
-                SingleRun {
-                    stabilized_at: rep.stabilized_at,
-                    silent_tail: rep.silent_tail(),
-                    horizon: rep.horizon,
-                    steps: sim.steps(),
-                    effective_steps: Some(sim.effective_steps()),
-                    outputs: outputs_of(&sim),
-                }
+                (rep.stabilized_at, rep.silent_tail())
             }
             StopCondition::Consensus => {
-                if batched {
-                    return Err(SpecError::Unsupported(
-                        "stop=\"consensus\" runs on the sequential engine".to_string(),
-                    ));
-                }
-                let at = sim.run_until_consensus(expected, horizon, &mut rng);
-                SingleRun {
-                    stabilized_at: at,
-                    silent_tail: 0,
-                    horizon,
-                    steps: sim.steps(),
-                    effective_steps: Some(sim.effective_steps()),
-                    outputs: outputs_of(&sim),
-                }
+                (sim.run_until_consensus(expected, horizon, &mut rng), 0)
             }
             StopCondition::FixedSteps => {
                 if batched {
@@ -1535,44 +1547,35 @@ where
                 } else {
                     sim.run(horizon, &mut rng);
                 }
-                SingleRun {
-                    stabilized_at: None,
-                    silent_tail: 0,
-                    horizon,
-                    steps: sim.steps(),
-                    effective_steps: Some(sim.effective_steps()),
-                    outputs: outputs_of(&sim),
-                }
+                (None, 0)
             }
         };
-        return Ok(RunOutcome::Single(outcome));
+        let run = SingleRun {
+            stabilized_at,
+            silent_tail,
+            horizon,
+            steps: sim.steps(),
+            effective_steps: Some(sim.effective_steps()),
+            outputs: outputs_of(sim.output_histogram()),
+        };
+        return Ok((RunOutcome::Single(run), sim.into_probe()));
     }
 
     // Ensemble path: byte-identical statistics at any thread count.
     let ens = ensemble_of(spec);
     let report = match spec.stop {
-        StopCondition::Stabilization => {
-            if batched {
-                ens.measure_stabilization_batched(make, expected, horizon)
-            } else {
-                ens.measure_stabilization(make, expected, horizon)
-            }
+        StopCondition::Stabilization if batched => {
+            ens.measure_stabilization_batched(make, expected, horizon)
         }
-        StopCondition::Consensus => {
-            if batched {
-                return Err(SpecError::Unsupported(
-                    "stop=\"consensus\" runs on the sequential engine".to_string(),
-                ));
-            }
-            ens.run_until_consensus(make, expected, horizon)
-        }
+        StopCondition::Stabilization => ens.measure_stabilization(make, expected, horizon),
+        StopCondition::Consensus => ens.run_until_consensus(make, expected, horizon),
         StopCondition::FixedSteps => {
             return Err(SpecError::Unsupported(
                 "stop=\"fixed\" reports one histogram; run it with trials=1".to_string(),
             ))
         }
     };
-    Ok(RunOutcome::Ensemble(report))
+    Ok((RunOutcome::Ensemble(report), probe))
 }
 
 /// Runs `spec` on the **agent engine** over an arbitrary scheduler:
@@ -1609,27 +1612,23 @@ where
         ));
     }
     let horizon = spec.effective_horizon();
-    let make = |_trial: u64| {
-        AgentSimulation::from_inputs(protocol.clone(), inputs, mk_sampler())
-    };
+    let make = || AgentSimulation::from_inputs(protocol.clone(), inputs, mk_sampler());
     if spec.trials == 1 {
         let mut rng = seeded_rng(spec.seed);
-        let mut sim = make(0);
+        let mut sim = make();
         let rep = sim.measure_stabilization(expected, horizon, &mut rng);
         return Ok(RunOutcome::Single(SingleRun {
             stabilized_at: rep.stabilized_at,
             silent_tail: rep.silent_tail(),
-            horizon: rep.horizon,
+            horizon,
             steps: sim.steps(),
             effective_steps: Some(sim.effective_steps()),
-            outputs: sim
-                .output_histogram()
-                .iter()
-                .map(|(o, c)| (format!("{o:?}"), *c))
-                .collect(),
+            outputs: outputs_of(sim.output_histogram()),
         }));
     }
-    let report = ensemble_of(spec).measure_stabilization_agents(make, expected, horizon);
+    let report = ensemble_of(spec).summarize(|_trial, rng| {
+        make().measure_stabilization(expected, horizon, rng).stabilized_at.map(|t| t as f64)
+    });
     Ok(RunOutcome::Ensemble(report))
 }
 
@@ -1693,19 +1692,6 @@ pub fn counts_by_symbol(indexed: &[(usize, u64)], arity: usize) -> Vec<u64> {
         }
     }
     out
-}
-
-/// One RNG draw helper kept here so dispatchers never import `Rng`
-/// elsewhere: the seeded single-run stream is `seeded_rng(seed)`.
-pub fn single_run_rng(spec: &RunSpec) -> StdRng {
-    seeded_rng(spec.seed)
-}
-
-// Silence the unused-import lint when the faults path is compiled out in
-// future feature work; `Rng` is used via trait methods on StdRng.
-#[allow(unused)]
-fn _rng_assert(r: &mut StdRng) {
-    let _: bool = r.gen_bool(0.5);
 }
 
 #[cfg(test)]
@@ -1890,6 +1876,18 @@ mod tests {
         spec.stop = StopCondition::Consensus;
         spec.trials = 1;
         assert!(run_counts(&spec, &epidemic(), &pairs, &true).is_ok());
+
+        // Consensus × batched is refused with one message, single or ensemble.
+        spec.engine = EngineSel::Batched;
+        for trials in [1, 4] {
+            spec.trials = trials;
+            match run_counts(&spec, &epidemic(), &pairs, &true) {
+                Err(SpecError::Unsupported(msg)) => {
+                    assert_eq!(msg, "stop=\"consensus\" runs on the sequential engine");
+                }
+                other => panic!("trials={trials}: expected unsupported, got {other:?}"),
+            }
+        }
     }
 
     #[test]

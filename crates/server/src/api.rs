@@ -24,11 +24,10 @@ use std::sync::{Arc, Mutex};
 
 use pp_analysis::{DriftCache, MeanFieldOptions};
 use pp_core::spec::{
-    check_population, counts_by_symbol, index_population, run_agents, run_counts, EngineSel,
-    JsonValue, ProtocolRef, RunOutcome, RunReport, RunSpec, SingleRun, SpecError,
-    StopCondition, TopologySpec,
+    check_population, counts_by_symbol, index_population, run_agents, run_counts_with,
+    EngineSel, JsonValue, ProtocolRef, RunOutcome, RunReport, RunSpec, SpecError, TopologySpec,
 };
-use pp_core::{seeded_rng, JsonlSink, Protocol, Simulation, StateId};
+use pp_core::{seeded_rng, JsonlSink, NoProbe, Probe, Protocol, Simulation, StateId};
 use pp_presburger::CompiledSpec;
 use pp_protocols::GraphSimulator;
 
@@ -204,12 +203,17 @@ pub fn execute(
             "probe=jsonl streams; POST the spec to /v1/stream instead".to_string(),
         ));
     }
-    execute_inner::<std::io::Sink>(spec, cache, opts, StreamSink::None)
+    execute_inner(spec, cache, opts, NoProbe).map(|(report, status, _)| (report, status))
 }
 
-/// Runs a single-trial count-engine spec with a [`JsonlSink`] attached,
-/// streaming interaction events as JSON Lines into `out`, followed by the
-/// sink's summary line and the final `pp-run/v1` report line.
+/// Runs a single-trial count-engine spec through the same dispatcher as
+/// [`execute`] with a [`JsonlSink`] as its probe, streaming interaction
+/// events as JSON Lines into `out`, followed by the sink's summary line
+/// and the final `pp-run/v1` report line. On the sequential engine the
+/// report's `outcome` is the one [`execute`] gives for the same spec
+/// without `probe`; the batched engine feeds a probe from single-run
+/// batches rather than its probe-free windows, which is equal in law but
+/// not draw for draw.
 ///
 /// # Errors
 ///
@@ -236,36 +240,21 @@ pub fn execute_stream<W: std::io::Write>(
             "streaming does not take a fault plan".to_string(),
         ));
     }
-    let stride = spec.probe.stride.max(1);
-    let mut sink = Some(JsonlSink::with_stride(out, stride));
-    let (report, status) = execute_inner(spec, cache, opts, StreamSink::Jsonl(&mut sink))?;
-    // `execute_inner` ran the simulation through the sink and put it back
-    // in the slot; recover the writer and append the final report line.
-    let mut w = match sink {
-        Some(s) => s.into_inner(),
-        None => return Err(SpecError::Internal("stream sink was consumed".to_string())),
-    };
+    let sink = JsonlSink::with_stride(out, spec.probe.stride.max(1));
+    let (report, status, sink) = execute_inner(spec, cache, opts, sink)?;
+    let mut w = sink.into_inner();
     writeln!(w, "{}", report.to_json())
         .map_err(|e| SpecError::Internal(format!("stream write failed: {e}")))?;
     let _ = w.flush();
     Ok(status)
 }
 
-/// How a run routes its probe events.
-enum StreamSink<'a, W: std::io::Write> {
-    /// No probe: the plain [`execute`] path.
-    None,
-    /// Stream through a JSONL sink. The sink is taken from the slot and
-    /// put back afterwards so the caller can recover the writer.
-    Jsonl(&'a mut Option<JsonlSink<W>>),
-}
-
-fn execute_inner<W: std::io::Write>(
+fn execute_inner<Pr: Probe>(
     spec: &RunSpec,
     cache: &CompiledCache,
     opts: &ExecOptions,
-    sink: StreamSink<'_, W>,
-) -> Result<(RunReport, CacheStatus), SpecError> {
+    probe: Pr,
+) -> Result<(RunReport, CacheStatus, Pr), SpecError> {
     check_population(spec, opts.max_population)?;
     match &spec.protocol {
         ProtocolRef::Name { name, params } => {
@@ -273,25 +262,25 @@ fn execute_inner<W: std::io::Write>(
             let key = named.key();
             let symbols = named.symbols();
             let gt = |c: &[u64]| named.ground_truth(c);
-            let report = match &named {
+            let (report, probe) = match &named {
                 NamedProtocol::Majority(p) => {
-                    drive(spec, cache, p.clone(), symbols, key, gt, |i| i, sink)?
+                    drive(spec, cache, p.clone(), symbols, key, gt, |i| i, probe)?
                 }
                 NamedProtocol::Parity(p) => {
-                    drive(spec, cache, p.clone(), symbols, key, gt, |i| i, sink)?
+                    drive(spec, cache, p.clone(), symbols, key, gt, |i| i, probe)?
                 }
                 NamedProtocol::ApproximateMajority(p) => {
-                    drive(spec, cache, *p, symbols, key, gt, |i| i == 1, sink)?
+                    drive(spec, cache, *p, symbols, key, gt, |i| i == 1, probe)?
                 }
                 NamedProtocol::CountTo(p) => {
-                    drive(spec, cache, *p, symbols, key, gt, |i| i == 1, sink)?
+                    drive(spec, cache, *p, symbols, key, gt, |i| i == 1, probe)?
                 }
             };
-            Ok((report, CacheStatus::None))
+            Ok((report, CacheStatus::None, probe))
         }
         ProtocolRef::Formula(src) => {
             let (compiled, status) = cache.compiled(src)?;
-            let report = drive(
+            let (report, probe) = drive(
                 spec,
                 cache,
                 compiled.protocol.clone(),
@@ -299,16 +288,19 @@ fn execute_inner<W: std::io::Write>(
                 compiled.key.clone(),
                 |c| compiled.protocol.eval(c),
                 |i| i,
-                sink,
+                probe,
             )?;
-            Ok((report, status))
+            Ok((report, status, probe))
         }
     }
 }
 
 /// The generic engine router: everything after protocol resolution.
+/// `probe` rides along to the count engines and is handed back; the
+/// agents and mean-field engines never see it ([`execute_stream`] admits
+/// only count-engine specs).
 #[allow(clippy::too_many_arguments)]
-fn drive<P, FI, FG, W>(
+fn drive<P, FI, FG, Pr>(
     spec: &RunSpec,
     cache: &CompiledCache,
     protocol: P,
@@ -316,14 +308,14 @@ fn drive<P, FI, FG, W>(
     key: String,
     ground_truth: FG,
     to_input: FI,
-    sink: StreamSink<'_, W>,
-) -> Result<RunReport, SpecError>
+    probe: Pr,
+) -> Result<(RunReport, Pr), SpecError>
 where
     P: Protocol<Output = bool> + Clone + Send + Sync,
     P::Input: Sync,
     FI: Fn(usize) -> P::Input + Copy,
     FG: Fn(&[u64]) -> bool,
-    W: std::io::Write,
+    Pr: Probe,
 {
     let indexed = index_population(&spec.population, &symbols)?;
     let counts = counts_by_symbol(&indexed, symbols.len());
@@ -333,41 +325,22 @@ where
     let pairs: Vec<(P::Input, u64)> =
         indexed.iter().map(|&(i, c)| (to_input(i), c)).collect();
 
-    let (outcome, edges) = match spec.engine {
+    let (outcome, edges, probe) = match spec.engine {
         EngineSel::Sequential | EngineSel::Batched => {
-            let outcome = match sink {
-                StreamSink::None => run_counts(spec, &protocol, &pairs, &expected)?,
-                StreamSink::Jsonl(slot) => {
-                    let taken = slot
-                        .take()
-                        .ok_or_else(|| SpecError::Internal("sink already taken".to_string()))?;
-                    let (outcome, returned) =
-                        run_streamed(spec, &protocol, &pairs, &expected, taken)?;
-                    *slot = Some(returned);
-                    outcome
-                }
-            };
-            (outcome, None)
+            let (outcome, probe) = run_counts_with(spec, &protocol, &pairs, &expected, probe)?;
+            (outcome, None, probe)
         }
         EngineSel::Agents => {
-            if matches!(sink, StreamSink::Jsonl(_)) {
-                return Err(SpecError::Unsupported(
-                    "streaming runs on the count engines".to_string(),
-                ));
-            }
-            run_on_topology(spec, cache, &protocol, &indexed, &expected, to_input)?
+            let (outcome, edges) =
+                run_on_topology(spec, cache, &protocol, &indexed, &expected, to_input)?;
+            (outcome, Some(edges), probe)
         }
         EngineSel::MeanField => {
-            if matches!(sink, StreamSink::Jsonl(_)) {
-                return Err(SpecError::Unsupported(
-                    "streaming runs on the count engines".to_string(),
-                ));
-            }
-            (mean_field_outcome(spec, cache, &protocol, &pairs, &key)?, None)
+            (mean_field_outcome(spec, cache, &protocol, &pairs, &key)?, None, probe)
         }
     };
 
-    Ok(RunReport {
+    let report = RunReport {
         protocol_key: key,
         engine: spec.engine,
         symbols,
@@ -377,86 +350,8 @@ where
         edges,
         outcome,
         spec: spec.to_value(),
-    })
-}
-
-/// Single-trial count-engine run with a [`JsonlSink`] attached — the
-/// probe-carrying twin of the `trials == 1` arm of [`run_counts`], field
-/// for field. Returns the sink so the caller can recover the writer.
-fn run_streamed<P, W>(
-    spec: &RunSpec,
-    protocol: &P,
-    pairs: &[(P::Input, u64)],
-    expected: &bool,
-    sink: JsonlSink<W>,
-) -> Result<(RunOutcome, JsonlSink<W>), SpecError>
-where
-    P: Protocol<Output = bool> + Clone,
-    W: std::io::Write,
-{
-    let horizon = spec.effective_horizon();
-    let batched = matches!(spec.engine, EngineSel::Batched);
-    let mut rng = seeded_rng(spec.seed);
-    let mut sim =
-        Simulation::from_counts(protocol.clone(), pairs.iter().cloned()).with_probe(sink);
-    let single = match spec.stop {
-        StopCondition::Stabilization => {
-            let rep = if batched {
-                sim.measure_stabilization_batched(expected, horizon, &mut rng)
-            } else {
-                sim.measure_stabilization(expected, horizon, &mut rng)
-            };
-            SingleRun {
-                stabilized_at: rep.stabilized_at,
-                silent_tail: rep.silent_tail(),
-                horizon: rep.horizon,
-                steps: sim.steps(),
-                effective_steps: Some(sim.effective_steps()),
-                outputs: outputs_of(&sim),
-            }
-        }
-        StopCondition::Consensus => {
-            if batched {
-                return Err(SpecError::Unsupported(
-                    "stop=\"consensus\" runs on the sequential engine".to_string(),
-                ));
-            }
-            let at = sim.run_until_consensus(expected, horizon, &mut rng);
-            SingleRun {
-                stabilized_at: at,
-                silent_tail: 0,
-                horizon,
-                steps: sim.steps(),
-                effective_steps: Some(sim.effective_steps()),
-                outputs: outputs_of(&sim),
-            }
-        }
-        StopCondition::FixedSteps => {
-            if batched {
-                sim.run_batched(horizon, &mut rng);
-            } else {
-                sim.run(horizon, &mut rng);
-            }
-            SingleRun {
-                stabilized_at: None,
-                silent_tail: 0,
-                horizon,
-                steps: sim.steps(),
-                effective_steps: Some(sim.effective_steps()),
-                outputs: outputs_of(&sim),
-            }
-        }
     };
-    Ok((RunOutcome::Single(single), sim.into_probe()))
-}
-
-fn outputs_of<P, Pr, Tr>(sim: &Simulation<P, Pr, Tr>) -> Vec<(String, u64)>
-where
-    P: Protocol + Clone,
-    Pr: pp_core::Probe,
-    Tr: pp_core::Tracer,
-{
-    sim.output_histogram().iter().map(|(o, c)| (format!("{o:?}"), *c)).collect()
+    Ok((report, probe))
 }
 
 /// The agents engine: materialize the topology (cached), wrap the protocol
@@ -468,7 +363,7 @@ fn run_on_topology<P, FI>(
     indexed: &[(usize, u64)],
     expected: &bool,
     to_input: FI,
-) -> Result<(RunOutcome, Option<u64>), SpecError>
+) -> Result<(RunOutcome, u64), SpecError>
 where
     P: Protocol<Output = bool> + Clone + Send + Sync,
     P::Input: Sync,
@@ -493,72 +388,54 @@ where
         }
     }
 
+    // Resolve the topology to its cache key, size check and builder. Each
+    // graph kind gets exactly one `run_agents` call, so the per-interaction
+    // sampler stays monomorphic: tori are CSR graphs whose dimensions fix
+    // the population, every other kind is an edge list over any n.
     let wrapped = GraphSimulator::new(protocol.clone());
-    let topo = spec.topology.clone().unwrap_or(TopologySpec::Complete);
-    match topo {
-        TopologySpec::Complete
-        | TopologySpec::Line
-        | TopologySpec::Cycle
-        | TopologySpec::Star
-        | TopologySpec::Random { .. } => {
+    let (w, h, d) = match spec.topology.clone().unwrap_or(TopologySpec::Complete) {
+        TopologySpec::Torus2d { w, h } => (w as usize, h as usize, None),
+        TopologySpec::Torus3d { w, h, d } => (w as usize, h as usize, Some(d as usize)),
+        topo => {
             let key = match &topo {
                 TopologySpec::Random { p, graph_seed } => {
                     format!("random:p={p}:seed={graph_seed}:n={n}")
                 }
                 other => format!("{}:n={n}", other.kind()),
             };
-            let graph = cache.graph(&key, || match &topo {
+            let graph = cache.graph(&key, || match topo {
                 TopologySpec::Complete => pp_graphs::complete(n),
                 TopologySpec::Line => pp_graphs::undirected_line(n),
                 TopologySpec::Cycle => pp_graphs::undirected_cycle(n),
                 TopologySpec::Star => pp_graphs::star(n),
                 TopologySpec::Random { p, graph_seed } => {
-                    pp_graphs::erdos_renyi_connected(n, *p, &mut seeded_rng(*graph_seed))
+                    pp_graphs::erdos_renyi_connected(n, p, &mut seeded_rng(graph_seed))
                 }
-                _ => unreachable!("arm filtered above"),
+                _ => unreachable!("tori matched above"),
             });
             let edges = graph.edge_count() as u64;
-            let g = Arc::clone(&graph);
             let outcome =
-                run_agents(spec, &wrapped, &inputs, expected, move || g.scheduler())?;
-            Ok((outcome, Some(edges)))
+                run_agents(spec, &wrapped, &inputs, expected, move || graph.scheduler())?;
+            return Ok((outcome, edges));
         }
-        TopologySpec::Torus2d { w, h } => {
-            let (w, h) = (w as usize, h as usize);
-            if w * h != n {
-                return Err(SpecError::BadField {
-                    field: "topology".to_string(),
-                    detail: format!("torus2d {w}x{h} needs population {}, got {n}", w * h),
-                });
-            }
-            let graph =
-                cache.csr(&format!("torus2d:{w}x{h}"), || pp_graphs::torus2d_csr(w, h));
-            let edges = graph.edge_count() as u64;
-            let g = Arc::clone(&graph);
-            let outcome =
-                run_agents(spec, &wrapped, &inputs, expected, move || g.scheduler())?;
-            Ok((outcome, Some(edges)))
-        }
-        TopologySpec::Torus3d { w, h, d } => {
-            let (w, h, d) = (w as usize, h as usize, d as usize);
-            if w * h * d != n {
-                return Err(SpecError::BadField {
-                    field: "topology".to_string(),
-                    detail: format!(
-                        "torus3d {w}x{h}x{d} needs population {}, got {n}",
-                        w * h * d
-                    ),
-                });
-            }
-            let graph = cache
-                .csr(&format!("torus3d:{w}x{h}x{d}"), || pp_graphs::torus3d_csr(w, h, d));
-            let edges = graph.edge_count() as u64;
-            let g = Arc::clone(&graph);
-            let outcome =
-                run_agents(spec, &wrapped, &inputs, expected, move || g.scheduler())?;
-            Ok((outcome, Some(edges)))
-        }
+    };
+    let (kind, dims, cells) = match d {
+        None => ("torus2d", format!("{w}x{h}"), w * h),
+        Some(d) => ("torus3d", format!("{w}x{h}x{d}"), w * h * d),
+    };
+    if cells != n {
+        return Err(SpecError::BadField {
+            field: "topology".to_string(),
+            detail: format!("{kind} {dims} needs population {cells}, got {n}"),
+        });
     }
+    let graph = cache.csr(&format!("{kind}:{dims}"), || match d {
+        None => pp_graphs::torus2d_csr(w, h),
+        Some(d) => pp_graphs::torus3d_csr(w, h, d),
+    });
+    let edges = graph.edge_count() as u64;
+    let outcome = run_agents(spec, &wrapped, &inputs, expected, move || graph.scheduler())?;
+    Ok((outcome, edges))
 }
 
 /// The mean-field fast path: derive (or fetch) the drift field, integrate

@@ -260,3 +260,51 @@ fn agents_mean_field_and_fault_requests_run_end_to_end() {
     assert!(text.contains("pp-mttr/v1"), "{text}");
     s.shutdown();
 }
+
+#[test]
+fn streamed_outcome_equals_unprobed_outcome() {
+    use pp_core::spec::{parse_json, JsonValue, RunSpec};
+    use pp_server::{execute, execute_stream, CompiledCache, ExecOptions};
+
+    let cache = CompiledCache::new();
+    let opts = ExecOptions::default();
+    let run = |engine: &str, stop: &str, probe: &str| -> JsonValue {
+        let spec = RunSpec::from_json(&format!(
+            r#"{{"protocol": {{"name": "majority"}}, "population": {{"1": 30, "0": 20}},
+                "seed": 17, "engine": "{engine}", "stop": "{stop}", "horizon": 6000{probe}}}"#
+        ))
+        .unwrap();
+        // The echoed spec differs by design (it carries the probe), so only
+        // the `result` object is compared.
+        let line = if spec.probe.jsonl {
+            let mut out = Vec::new();
+            execute_stream(&spec, &cache, &opts, &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert!(lines.len() >= 3, "{engine}/{stop}: want events + summary + report");
+            lines[lines.len() - 1].to_string()
+        } else {
+            execute(&spec, &cache, &opts).unwrap().0.to_json()
+        };
+        parse_json(&line).unwrap().get("result").cloned().unwrap()
+    };
+    let stride = |k: u64| format!(r#", "probe": {{"kind": "jsonl", "stride": {k}}}"#);
+
+    for stop in ["stabilization", "fixed", "consensus"] {
+        let plain = run("sequential", stop, "");
+        assert_eq!(run("sequential", stop, &stride(7)), plain, "sequential/{stop}");
+    }
+    // The batched engine samples multi-run windows when no probe is
+    // attached and single-run batches (which replay every interaction to
+    // the probe) when one is: equal in law, not draw for draw. The sink
+    // itself stays transparent: its stride never moves the outcome, and the
+    // run covers the same horizon as the unprobed one.
+    for stop in ["stabilization", "fixed"] {
+        let plain = run("batched", stop, "");
+        let streamed = run("batched", stop, &stride(7));
+        assert_eq!(run("batched", stop, &stride(1000)), streamed, "batched/{stop}");
+        for field in ["kind", "horizon", "steps"] {
+            assert_eq!(streamed.get(field), plain.get(field), "batched/{stop}: {field}");
+        }
+    }
+}
