@@ -116,12 +116,37 @@ REQUESTS[stream_batched_fixed]='{
     "probe": {"kind": "jsonl", "stride": 100}
 }'
 ENDPOINTS[stream_batched_fixed]=/v1/stream
+# Quiescent tails: these three runs stop changing state long before the
+# horizon, so they pin the bytes of every field the count engines report
+# after the last effective interaction.
+REQUESTS[am_batched_quiescent]='{
+    "protocol": {"name": "approximate-majority"},
+    "population": {"1": 2800, "0": 2200},
+    "seed": 31,
+    "engine": "batched",
+    "horizon": 230000
+}'
+REQUESTS[count_to_k_quiescent]='{
+    "protocol": {"name": "count-to-k", "k": 3},
+    "population": {"1": 5, "0": 195},
+    "seed": 17,
+    "horizon": 20000
+}'
+REQUESTS[am_batched_ensemble]='{
+    "protocol": {"name": "approximate-majority"},
+    "population": {"1": 2800, "0": 2200},
+    "seed": 5,
+    "engine": "batched",
+    "trials": 4,
+    "horizon": 300000
+}'
 
 mkdir -p "$GOLDEN_DIR"
 status=0
 for name in protocol_run formula_run fault_ensemble mean_field \
     agents_torus agents_line_ensemble consensus_run \
-    stream_sequential stream_batched_fixed; do
+    stream_sequential stream_batched_fixed \
+    am_batched_quiescent count_to_k_quiescent am_batched_ensemble; do
     endpoint=${ENDPOINTS[$name]:-/v1/run}
     got=$(curl -sf -X POST "$BASE$endpoint" \
         -H 'Content-Type: application/json' \
