@@ -134,7 +134,7 @@
 use rand::Rng;
 
 use crate::config::CountConfig;
-use crate::engine::{Simulation, StabilizationReport};
+use crate::engine::{consensus_reached, QuiescenceWatch, Simulation, StabilizationReport};
 use crate::observe::{BatchEvent, BatchPair, Probe};
 use crate::protocol::Protocol;
 use crate::registry::StateId;
@@ -485,7 +485,24 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
     /// fresh pairs plus a bounded number of collisions, i.e. `o(1)` of any
     /// `Ω(n)` stabilization time). Convergence/divergence at the horizon is
     /// decided exactly as in the sequential version.
+    ///
+    /// Like the sequential version, this draws the randomness of the full
+    /// `horizon` from `rng` (see the RNG contract of
+    /// [`measure_stabilization`](Self::measure_stabilization)).
     pub fn measure_stabilization_batched(
+        &mut self,
+        expected: &P::Output,
+        horizon: u64,
+        rng: &mut impl Rng,
+    ) -> StabilizationReport {
+        self.measure_stabilization_batched_core::<false>(expected, horizon, rng)
+    }
+
+    /// [`measure_stabilization_batched`](Self::measure_stabilization_batched)
+    /// with the owned-RNG quiescence exit of
+    /// [`measure_stabilization_core`](Self::measure_stabilization_core),
+    /// checked at batch boundaries.
+    pub(crate) fn measure_stabilization_batched_core<const EXIT: bool>(
         &mut self,
         expected: &P::Output,
         horizon: u64,
@@ -494,19 +511,23 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
         let n = self.population();
         let oid = self.output_id(expected);
         let start = self.steps;
-        let mut wrong = self.count_of_output(oid) != n;
-        let mut last_wrong: Option<u64> = if wrong { Some(0) } else { None };
+        let mut wrong = n - self.count_of_output(oid);
+        let mut last_wrong: Option<u64> = if wrong > 0 { Some(0) } else { None };
+        let exit = EXIT && !Pr::ACTIVE;
+        let mut watch = QuiescenceWatch::new(n, self.effective_steps);
         while self.steps - start < horizon {
             self.advance_batched(horizon - (self.steps - start), rng);
-            wrong = self.count_of_output(oid) != n;
-            if wrong {
-                last_wrong = Some(self.steps - start);
+            wrong = n - self.count_of_output(oid);
+            let elapsed = self.steps - start;
+            if wrong > 0 {
+                last_wrong = Some(elapsed);
+            }
+            if exit && watch.due(elapsed, self.effective_steps) && self.is_quiescent() {
+                self.steps = start + horizon;
+                break;
             }
         }
-        StabilizationReport {
-            horizon,
-            stabilized_at: if wrong { None } else { Some(last_wrong.map_or(0, |t| t + 1)) },
-        }
+        StabilizationReport { horizon, stabilized_at: consensus_reached(wrong, last_wrong, 0) }
     }
 
     /// Executes one batch of at most `budget` interactions (at least one);
@@ -882,6 +903,7 @@ mod tests {
     use super::*;
     use crate::engine::seeded_rng;
     use crate::protocol::FnProtocol;
+    use rand::RngCore;
 
     fn epidemic() -> impl Protocol<State = bool, Input = bool, Output = bool> {
         FnProtocol::new(
@@ -965,5 +987,23 @@ mod tests {
         assert_eq!(sim.steps(), 5_000);
         assert_eq!(sim.effective_steps(), 0);
         assert_eq!(sim.count_of_state(&true), 100);
+    }
+
+    #[test]
+    fn batched_quiescence_exit_reports_the_full_horizon_run_and_skips_its_draws() {
+        for seed in 0..4 {
+            let make = || Simulation::from_counts(epidemic(), [(true, 3), (false, 1_997)]);
+            let (mut full, mut rng_full) = (make(), seeded_rng(seed));
+            let rep_full = full.measure_stabilization_batched(&true, 200_000, &mut rng_full);
+            let (mut quick, mut rng_quick) = (make(), seeded_rng(seed));
+            let rep_quick =
+                quick.measure_stabilization_batched_core::<true>(&true, 200_000, &mut rng_quick);
+            assert!(rep_full.converged());
+            assert_eq!(rep_quick, rep_full);
+            assert_eq!(quick.steps(), full.steps());
+            assert_eq!(quick.effective_steps(), full.effective_steps());
+            assert_eq!(quick.output_histogram(), full.output_histogram());
+            assert_ne!(rng_quick.next_u64(), rng_full.next_u64(), "the exit skipped the tail");
+        }
     }
 }

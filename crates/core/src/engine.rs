@@ -78,6 +78,7 @@ pub struct StabilizationReport {
 /// interaction `t` becomes correct at the earliest after interaction `t + 1`.
 /// Every stabilization / recovery check in the workspace
 /// ([`Simulation::measure_stabilization`],
+/// [`Simulation::measure_stabilization_batched`],
 /// [`AgentSimulation::measure_stabilization`],
 /// `ConvergenceProbe::stabilized_at`, and fault-segment closing in
 /// [`faults`](crate::faults)) routes through this helper so the notions can
@@ -88,6 +89,41 @@ pub fn consensus_reached(wrong: u64, last_wrong: Option<u64>, default: u64) -> O
         None
     } else {
         Some(last_wrong.map_or(default, |t| t + 1))
+    }
+}
+
+/// When an owned-RNG stabilization run may test
+/// [`is_quiescent`](Simulation::is_quiescent): at most once per
+/// `max(n, 64)` interactions, and only after a whole such period in which
+/// `effective_steps` did not move — so runs still changing state pay one
+/// comparison per interaction (per batch, on the batched engine).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QuiescenceWatch {
+    period: u64,
+    next: u64,
+    effective: u64,
+}
+
+impl QuiescenceWatch {
+    /// A watch over a run of `n` agents that has `effective` effective
+    /// interactions behind it.
+    pub(crate) fn new(n: u64, effective: u64) -> Self {
+        let period = n.max(64);
+        Self { period, next: period, effective }
+    }
+
+    /// Called `elapsed` interactions into the run with `effective`
+    /// effective interactions so far: whether a period just ended with no
+    /// effective interaction in it.
+    #[inline]
+    pub(crate) fn due(&mut self, elapsed: u64, effective: u64) -> bool {
+        if elapsed < self.next {
+            return false;
+        }
+        self.next = elapsed + self.period;
+        let idle = effective == self.effective;
+        self.effective = effective;
+        idle
     }
 }
 
@@ -672,7 +708,35 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
 
     /// Runs `horizon` interactions and reports when the output assignment
     /// last became (and stayed) equal to `expected` on every agent.
+    ///
+    /// # RNG contract
+    ///
+    /// This draws the randomness of all `horizon` interactions from `rng`,
+    /// even after the configuration has gone quiescent, so a caller that
+    /// keeps using `rng` afterwards sees the same stream whatever the
+    /// protocol did. Dispatchers whose RNG dies with the run
+    /// ([`run_counts`](crate::spec::run_counts),
+    /// [`Ensemble::measure_stabilization`](crate::ensemble::Ensemble::measure_stabilization))
+    /// instead stop drawing at quiescence; their reports are identical.
     pub fn measure_stabilization(
+        &mut self,
+        expected: &P::Output,
+        horizon: u64,
+        rng: &mut impl Rng,
+    ) -> StabilizationReport {
+        self.measure_stabilization_core::<false>(expected, horizon, rng)
+    }
+
+    /// [`measure_stabilization`](Self::measure_stabilization) with an
+    /// optional **quiescence exit**, for callers whose `rng` dies with the
+    /// run. With `EXIT` (and no active probe), once a
+    /// [`QuiescenceWatch`] period passes without an effective interaction
+    /// and the configuration [`is_quiescent`](Self::is_quiescent), the rest
+    /// of the horizon is added to [`steps`](Self::steps) without drawing
+    /// it: no later interaction could change a state, so the report,
+    /// `steps`, `effective_steps` and the output histogram are exactly
+    /// those of the full-horizon run. Only `rng`'s final position differs.
+    pub(crate) fn measure_stabilization_core<const EXIT: bool>(
         &mut self,
         expected: &P::Output,
         horizon: u64,
@@ -683,6 +747,8 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
         // `wrong` is recomputed only when the output multiset changes.
         let mut wrong = n - self.count_of_output(oid);
         let mut last_wrong: Option<u64> = if wrong > 0 { Some(0) } else { None };
+        let exit = EXIT && !Pr::ACTIVE;
+        let mut watch = QuiescenceWatch::new(n, self.effective_steps);
         if Tr::ACTIVE {
             self.tracer.enter(SpanKind::SchedulerDraw);
         }
@@ -692,6 +758,10 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
             }
             if wrong > 0 {
                 last_wrong = Some(i);
+            }
+            if exit && watch.due(i, self.effective_steps) && self.is_quiescent() {
+                self.steps += horizon - i;
+                break;
             }
         }
         if Tr::ACTIVE {
@@ -777,6 +847,23 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
             self.tracer.exit(SpanKind::SchedulerDraw, pairs);
         }
         pairs
+    }
+
+    /// Whether the configuration is **quiescent** in [`leap`](Self::leap)'s
+    /// sense: every ordered pair of present states is a `δ` fixed point (a
+    /// state paired with itself only when at least 2 agents hold it), so no
+    /// interaction can ever change a state again.
+    ///
+    /// Pure: it reads only the transition memo
+    /// ([`DenseRuntime::cached_transition`]) and counts a pair never
+    /// computed as reactive, so it interns no state or output (which would
+    /// reorder state ids, and with them the engine's draws).
+    pub(crate) fn is_quiescent(&self) -> bool {
+        self.config.support().all(|(p, cp)| {
+            self.config.support().all(|(q, _)| {
+                (p == q && cp < 2) || self.rt.cached_transition(p, q) == Some((p, q))
+            })
+        })
     }
 
     /// Closes the protocol's state space under `δ` from the current
@@ -1744,5 +1831,71 @@ mod tests {
         let mut rng = seeded_rng(0);
         sim.run(123, &mut rng);
         assert_eq!(sim.steps(), 123);
+    }
+
+    /// Leader election: `(L, L) → (L, F)`, every other pair a no-op.
+    fn leader_election() -> impl Protocol<State = bool, Input = bool, Output = bool> {
+        FnProtocol::new(
+            |&b: &bool| b,
+            |&q: &bool| q,
+            |&p: &bool, &q: &bool| if p && q { (true, false) } else { (p, q) },
+        )
+    }
+
+    #[test]
+    fn quiescence_check_is_pure_and_treats_uncached_pairs_as_reactive() {
+        let sim = Simulation::from_counts(count_to_five(), [(true, 2), (false, 8)]);
+        let before = (sim.rt.state_count(), sim.rt.output_count(), sim.rt.memo_len());
+        assert!(!sim.is_quiescent(), "no present pair is memoized yet");
+        assert_eq!((sim.rt.state_count(), sim.rt.output_count(), sim.rt.memo_len()), before);
+
+        // An all-infected epidemic is quiescent once (T, T) is memoized.
+        let mut done = Simulation::from_counts(epidemic(), [(true, 10)]);
+        assert!(!done.is_quiescent());
+        assert_eq!(done.rt.memo_len(), 0);
+        done.rt.transition(StateId(0), StateId(0));
+        assert!(done.is_quiescent());
+    }
+
+    #[test]
+    fn quiescence_pairs_a_state_with_itself_only_when_two_agents_hold_it() {
+        let (leader, follower) = (StateId(0), StateId(1));
+        for leaders in [1u64, 2] {
+            let mut sim =
+                Simulation::from_counts(leader_election(), [(true, leaders), (false, 8)]);
+            for p in [leader, follower] {
+                for q in [leader, follower] {
+                    sim.rt.transition(p, q);
+                }
+            }
+            assert_eq!(sim.is_quiescent(), leaders == 1, "{leaders} leaders");
+        }
+    }
+
+    #[test]
+    fn quiescence_exit_reports_the_full_horizon_run_and_skips_its_draws() {
+        for seed in 0..4 {
+            let make = || Simulation::from_counts(count_to_five(), [(true, 6), (false, 58)]);
+            let (mut full, mut rng_full) = (make(), seeded_rng(seed));
+            let rep_full = full.measure_stabilization(&true, 50_000, &mut rng_full);
+            let (mut quick, mut rng_quick) = (make(), seeded_rng(seed));
+            let rep_quick = quick.measure_stabilization_core::<true>(&true, 50_000, &mut rng_quick);
+            assert!(rep_full.converged());
+            assert_eq!(rep_quick, rep_full);
+            assert_eq!(quick.steps(), full.steps());
+            assert_eq!(quick.effective_steps(), full.effective_steps());
+            assert_eq!(quick.output_histogram(), full.output_histogram());
+            assert_eq!(quick.config().as_slice(), full.config().as_slice());
+            let next_full = rng_full.next_u64();
+            assert_ne!(rng_quick.next_u64(), next_full, "the exit skipped the tail");
+
+            // A probed run sees every interaction: no exit, full draws.
+            let mut probed = make().with_probe(crate::observe::MetricsProbe::new());
+            let mut rng_probed = seeded_rng(seed);
+            let rep_probed =
+                probed.measure_stabilization_core::<true>(&true, 50_000, &mut rng_probed);
+            assert_eq!(rep_probed, rep_full);
+            assert_eq!(rng_probed.next_u64(), next_full);
+        }
     }
 }

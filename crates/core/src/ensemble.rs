@@ -402,7 +402,10 @@ impl Ensemble {
     }
 
     /// Ensemble of [`Simulation::measure_stabilization`]: per-trial record
-    /// is `stabilized_at`.
+    /// is `stabilized_at`. Each trial's RNG dies with it, so trials stop
+    /// at quiescence (see
+    /// [`measure_stabilization`](Simulation::measure_stabilization)'s RNG
+    /// contract); the records are those of full-horizon runs.
     pub fn measure_stabilization<P, F>(
         &self,
         make: F,
@@ -416,7 +419,9 @@ impl Ensemble {
     {
         self.summarize(|trial, rng| {
             let mut sim = make(trial);
-            sim.measure_stabilization(expected, horizon, rng).stabilized_at.map(|t| t as f64)
+            sim.measure_stabilization_core::<true>(expected, horizon, rng)
+                .stabilized_at
+                .map(|t| t as f64)
         })
     }
 
@@ -430,7 +435,9 @@ impl Ensemble {
     /// `engine: `[`EngineSel::Batched`](crate::spec::EngineSel) and
     /// dispatch it via [`run_counts`](crate::spec::run_counts) — the
     /// unified seam the server, the CLI, and the benches share. This
-    /// method stays as the executor those dispatchers call into.
+    /// method stays as the executor those dispatchers call into. Like
+    /// [`measure_stabilization`](Self::measure_stabilization), trials stop
+    /// at quiescence.
     pub fn measure_stabilization_batched<P, F>(
         &self,
         make: F,
@@ -444,7 +451,7 @@ impl Ensemble {
     {
         self.summarize(|trial, rng| {
             let mut sim = make(trial);
-            sim.measure_stabilization_batched(expected, horizon, rng)
+            sim.measure_stabilization_batched_core::<true>(expected, horizon, rng)
                 .stabilized_at
                 .map(|t| t as f64)
         })

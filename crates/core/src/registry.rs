@@ -236,6 +236,12 @@ impl<P: Protocol> DenseRuntime<P> {
         self.transitions.get(&(p, q)).copied()
     }
 
+    /// Number of memoized transitions.
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.transitions.len()
+    }
+
     /// Eagerly explores the whole state space reachable from the given seed
     /// states by closing under `δ` on all ordered pairs, returning the total
     /// number of states.

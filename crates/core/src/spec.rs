@@ -1449,6 +1449,19 @@ where
 /// the batched engine from multi-run windows to single-run batches that
 /// replay every interaction to the probe (equal in law, not per seed).
 ///
+/// # Quiescence exit
+///
+/// Stabilization runs that own their RNG — the probe-free single trial and
+/// every ensemble trial — stop simulating once the configuration is
+/// quiescent (every ordered pair of present states is a δ fixed point, so
+/// no interaction can change anything again). `steps`, `effective_steps`,
+/// `outputs`, `stabilized_at` and `silent_tail` are then already final, so
+/// the report is byte-identical to the full-horizon run; only the unused
+/// RNG tail is skipped. Probed runs (which stream every stride) and
+/// faulted runs (whose later bursts draw from the RNG) run the full
+/// horizon, as do the public
+/// [`measure_stabilization`](Simulation::measure_stabilization) methods.
+///
 /// # Errors
 ///
 /// As [`run_counts`].
@@ -1531,10 +1544,11 @@ where
         let mut sim = make(0).with_probe(probe);
         let (stabilized_at, silent_tail) = match spec.stop {
             StopCondition::Stabilization => {
+                // `rng` dies with the run: stop at quiescence.
                 let rep = if batched {
-                    sim.measure_stabilization_batched(expected, horizon, &mut rng)
+                    sim.measure_stabilization_batched_core::<true>(expected, horizon, &mut rng)
                 } else {
-                    sim.measure_stabilization(expected, horizon, &mut rng)
+                    sim.measure_stabilization_core::<true>(expected, horizon, &mut rng)
                 };
                 (rep.stabilized_at, rep.silent_tail())
             }
@@ -1582,6 +1596,11 @@ where
 /// one trial or a deterministic ensemble. The caller (the resolver layer)
 /// materializes the topology and builds `mk_sampler`, one sampler per
 /// trial; `inputs` are per-agent inputs in spec order.
+///
+/// Unlike [`run_counts_with`], there is no quiescence exit: the agents
+/// engine's front ends run protocols wrapped in the Theorem 7 baton
+/// simulator (`pp_protocols::GraphSimulator`), whose batons keep moving
+/// forever, so those configurations are never quiescent.
 ///
 /// # Errors
 ///
