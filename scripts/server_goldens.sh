@@ -91,6 +91,22 @@ REQUESTS[agents_line_ensemble]='{
     "trials": 4,
     "horizon": 200000
 }'
+REQUESTS[agents_complete]='{
+    "protocol": {"name": "approximate-majority"},
+    "population": {"1": 550, "0": 450},
+    "seed": 19,
+    "engine": "agents",
+    "topology": {"kind": "complete"},
+    "horizon": 400000
+}'
+REQUESTS[agents_formula_torus]='{
+    "protocol": {"formula": "x + 3*y > 40"},
+    "population": {"x": 30, "y": 34},
+    "seed": 23,
+    "engine": "agents",
+    "topology": {"kind": "torus2d", "w": 8, "h": 8},
+    "horizon": 600000
+}'
 REQUESTS[consensus_run]='{
     "protocol": {"name": "approximate-majority"},
     "population": {"1": 12, "0": 8},
@@ -144,7 +160,8 @@ REQUESTS[am_batched_ensemble]='{
 mkdir -p "$GOLDEN_DIR"
 status=0
 for name in protocol_run formula_run fault_ensemble mean_field \
-    agents_torus agents_line_ensemble consensus_run \
+    agents_torus agents_line_ensemble agents_complete agents_formula_torus \
+    consensus_run \
     stream_sequential stream_batched_fixed \
     am_batched_quiescent count_to_k_quiescent am_batched_ensemble; do
     endpoint=${ENDPOINTS[$name]:-/v1/run}
