@@ -44,7 +44,8 @@ fn main() {
     println!("\nE10: Theorem 7 — majority via the Fig. 1 simulator, n = {n}, {ones} ones\n");
     print_header(&["graph", "edges", "runs", "E[stabilize]", "slowdown"], &[16, 6, 5, 14, 10]);
 
-    let inputs: Vec<usize> = (0..n).map(|i| usize::from(i < ones)).collect();
+    // Agents 0..ones hold input 1, the rest input 0.
+    let runs = [(1usize, ones as u64), (0usize, (n - ones) as u64)];
     let trials = if pp_bench::smoke() { 3u64 } else { 30u64 };
 
     // Baseline: bare protocol on the complete graph, through the
@@ -88,7 +89,7 @@ fn main() {
         let outcome = run_agents(
             &spec,
             &GraphSimulator::new(majority()),
-            &inputs,
+            &runs,
             &expected,
             || g.scheduler(),
         )

@@ -16,7 +16,7 @@
 //!   interaction, one serialized cache miss per draw.
 //! * `csr_seq` — `CsrScheduler` + the same sequential loop (isolates the
 //!   layout change).
-//! * `csr_batched` — `run_batched`: monomorphized batch sampling + frozen
+//! * `csr_batched` — `run_batched`: monomorphized batch sampling + a
 //!   dense δ-table (isolates the batching change).
 //! * `csr_sharded_t1` / `csr_sharded_t2` — `run_epochs` at 1 and 2 threads.
 //!   On a single-core host the 2-thread row measures coordination overhead,

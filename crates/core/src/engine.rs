@@ -1090,17 +1090,54 @@ impl<P: Protocol, S: PairSampler> AgentSimulation<P, S> {
     /// Panics if `inputs.len()` differs from the sampler's population size
     /// or is smaller than 2.
     pub fn from_inputs(protocol: P, inputs: &[P::Input], sampler: S) -> Self {
-        assert!(inputs.len() >= 2, "population must have at least 2 agents");
+        let mut rt = DenseRuntime::new(protocol);
+        let states = inputs.iter().map(|x| rt.intern_input(x)).collect();
+        Self::from_states(rt, states, sampler)
+    }
+
+    /// Creates a simulation from `(input, count)` runs in order: the first
+    /// `c₀` agents get input `x₀`, the next `c₁` get `x₁`, and so on.
+    ///
+    /// Equivalent to [`from_inputs`](Self::from_inputs) on the expanded
+    /// per-agent list — the same states under the same ids, since both
+    /// intern in agent order — but each run's input is evaluated and
+    /// interned once rather than once per agent, so set-up costs
+    /// `O(runs)` protocol calls and hash lookups plus one fill of the
+    /// state column.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_inputs`](Self::from_inputs), with the total count in the
+    /// role of `inputs.len()`.
+    pub fn from_input_runs(protocol: P, runs: &[(P::Input, u64)], sampler: S) -> Self {
+        let total: u64 = runs.iter().map(|&(_, c)| c).sum();
         assert_eq!(
-            inputs.len(),
-            sampler.population(),
+            total,
+            sampler.population() as u64,
             "input count must match sampler population"
         );
         let mut rt = DenseRuntime::new(protocol);
-        let agents: AgentConfig = inputs.iter().map(|x| rt.intern_input(x)).collect();
+        let mut states = Vec::with_capacity(sampler.population());
+        // An empty run interns nothing, exactly as no agent would.
+        for (x, count) in runs.iter().filter(|&&(_, c)| c > 0) {
+            let id = rt.intern_input(x);
+            states.resize(states.len() + *count as usize, id);
+        }
+        Self::from_states(rt, states, sampler)
+    }
+
+    /// The shared tail of the constructors: `states[i]` is agent `i`'s
+    /// interned initial state.
+    fn from_states(rt: DenseRuntime<P>, states: Vec<StateId>, sampler: S) -> Self {
+        assert!(states.len() >= 2, "population must have at least 2 agents");
+        assert_eq!(
+            states.len(),
+            sampler.population(),
+            "input count must match sampler population"
+        );
         Self {
             rt,
-            agents: AgentStore::new(agents),
+            agents: AgentStore::new(AgentConfig::new(states)),
             sampler,
             steps: 0,
             effective_steps: 0,
@@ -1690,6 +1727,18 @@ mod tests {
         let rep = sim.measure_stabilization(&true, 50_000, &mut rng);
         assert!(rep.converged());
         assert_eq!(sim.consensus_output(), Some(&true));
+    }
+
+    #[test]
+    fn agent_runs_intern_like_per_agent_inputs() {
+        // An empty leading run must not take the first state id.
+        let runs = [(true, 0u64), (false, 5), (true, 3), (false, 2)];
+        let inputs: Vec<bool> =
+            runs.iter().flat_map(|&(x, c)| std::iter::repeat_n(x, c as usize)).collect();
+        let a = AgentSimulation::from_input_runs(epidemic(), &runs, UniformPairScheduler::new(10));
+        let b = AgentSimulation::from_inputs(epidemic(), &inputs, UniformPairScheduler::new(10));
+        assert_eq!(a.agents(), b.agents());
+        assert_eq!(a.runtime().state(StateId(0)), &false);
     }
 
     #[test]

@@ -145,7 +145,8 @@ pub use observe::{
 pub use protocol::{CoinProtocol, FnProtocol, Protocol, SyntheticCoins};
 pub use registry::{DenseRuntime, OutputId, StateId};
 pub use scheduler::{
-    BatchPairSampler, CsrScheduler, EdgeListScheduler, PairSampler, UniformPairScheduler,
+    BatchPairSampler, CsrScheduler, EdgeListScheduler, PairSampler, SharedPairSampler,
+    UniformPairScheduler,
 };
 pub use spec::{
     EngineSel, FaultSpec, JsonValue, MeanFieldSpec, ProbeSpec, ProtocolRef, RunOutcome,

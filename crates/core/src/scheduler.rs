@@ -13,6 +13,7 @@
 //! arbitrary (possibly adversarial) fixed schedule.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
@@ -89,6 +90,58 @@ pub trait BatchPairSampler: PairSampler {
             let pair = self.sample(&mut r);
             buf.push(pair);
         }
+    }
+}
+
+/// A [`BatchPairSampler`] whose draws only *read* it: all of its state is
+/// the graph (plus any live mask), none of it is a cursor. One instance can
+/// then serve any number of runs at once behind an [`Arc`], and `Arc<S>` is
+/// itself a sampler — so a server can cache one sampler per topology and
+/// hand every request and every ensemble trial a reference-count bump
+/// instead of a copy of the edge arrays.
+///
+/// [`draw`](Self::draw) and [`draw_batch`](Self::draw_batch) are the
+/// implementor's [`sample`](PairSampler::sample) and
+/// [`sample_batch`](BatchPairSampler::sample_batch) (same streams), taking
+/// `&self`. Masking an `Arc`-shared sampler
+/// ([`mask_live`](PairSampler::mask_live), after a crash) copies it first,
+/// so a faulted run never changes what the other holders draw.
+pub trait SharedPairSampler: BatchPairSampler + Clone {
+    /// [`sample`](PairSampler::sample) through a shared reference.
+    fn draw(&self, rng: &mut dyn RngCore) -> (u32, u32);
+
+    /// [`sample_batch`](BatchPairSampler::sample_batch) through a shared
+    /// reference.
+    fn draw_batch<R: RngCore + ?Sized>(&self, rng: &mut R, k: usize, buf: &mut Vec<(u32, u32)>);
+}
+
+impl<S: SharedPairSampler> PairSampler for Arc<S> {
+    #[inline]
+    fn sample(&mut self, rng: &mut dyn RngCore) -> (u32, u32) {
+        self.draw(rng)
+    }
+
+    fn population(&self) -> usize {
+        (**self).population()
+    }
+
+    fn live_pairs(&self, is_live: &dyn Fn(u32) -> bool) -> Option<u64> {
+        (**self).live_pairs(is_live)
+    }
+
+    fn mask_live(&mut self, is_live: &dyn Fn(u32) -> bool) -> Option<u64> {
+        Arc::make_mut(self).mask_live(is_live)
+    }
+}
+
+impl<S: SharedPairSampler> BatchPairSampler for Arc<S> {
+    fn sample_batch<R: RngCore + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        k: usize,
+        buf: &mut Vec<(u32, u32)>,
+    ) {
+        self.draw_batch(rng, k, buf);
     }
 }
 
@@ -227,7 +280,7 @@ impl EdgeListScheduler {
 impl PairSampler for EdgeListScheduler {
     #[inline]
     fn sample(&mut self, rng: &mut dyn RngCore) -> (u32, u32) {
-        self.edges[rng.gen_range(0..self.edges.len())]
+        self.draw(rng)
     }
 
     fn population(&self) -> usize {
@@ -248,6 +301,17 @@ impl BatchPairSampler for EdgeListScheduler {
         k: usize,
         buf: &mut Vec<(u32, u32)>,
     ) {
+        self.draw_batch(rng, k, buf);
+    }
+}
+
+impl SharedPairSampler for EdgeListScheduler {
+    #[inline]
+    fn draw(&self, rng: &mut dyn RngCore) -> (u32, u32) {
+        self.edges[rng.gen_range(0..self.edges.len())]
+    }
+
+    fn draw_batch<R: RngCore + ?Sized>(&self, rng: &mut R, k: usize, buf: &mut Vec<(u32, u32)>) {
         buf.clear();
         buf.reserve(k);
         let m = self.edges.len();
@@ -727,8 +791,7 @@ fn draw_alias_idx<R: RngCore + ?Sized>(rng: &mut R, prob: &[f64], alias: &[u32])
 impl PairSampler for CsrScheduler {
     #[inline]
     fn sample(&mut self, rng: &mut dyn RngCore) -> (u32, u32) {
-        let e = self.draw_edge(rng);
-        (self.src_of(e), self.targets[e])
+        self.draw(rng)
     }
 
     fn population(&self) -> usize {
@@ -889,6 +952,18 @@ impl BatchPairSampler for CsrScheduler {
         k: usize,
         buf: &mut Vec<(u32, u32)>,
     ) {
+        self.draw_batch(rng, k, buf);
+    }
+}
+
+impl SharedPairSampler for CsrScheduler {
+    #[inline]
+    fn draw(&self, rng: &mut dyn RngCore) -> (u32, u32) {
+        let e = self.draw_edge(rng);
+        (self.src_of(e), self.targets[e])
+    }
+
+    fn draw_batch<R: RngCore + ?Sized>(&self, rng: &mut R, k: usize, buf: &mut Vec<(u32, u32)>) {
         buf.clear();
         buf.reserve(k);
         // Identical stream to `k` sequential `sample` calls. On the

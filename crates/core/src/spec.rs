@@ -43,13 +43,14 @@ use rand::rngs::StdRng;
 
 use crate::engine::{seeded_rng, AgentSimulation, Simulation};
 use crate::ensemble::{Ensemble, EnsembleReport, SeedMode};
+use crate::error::PopulationError;
 use crate::faults::{
     CorruptionMode, CrashFaults, FaultCtx, FaultPlan, InteractionDrop, Mttr,
     TransientCorruption,
 };
 use crate::observe::{NoProbe, Probe};
 use crate::protocol::Protocol;
-use crate::scheduler::PairSampler;
+use crate::scheduler::BatchPairSampler;
 
 // ---------------------------------------------------------------------------
 // A minimal JSON value (parser + deterministic writer)
@@ -1595,7 +1596,16 @@ where
 /// Runs `spec` on the **agent engine** over an arbitrary scheduler:
 /// one trial or a deterministic ensemble. The caller (the resolver layer)
 /// materializes the topology and builds `mk_sampler`, one sampler per
-/// trial; `inputs` are per-agent inputs in spec order.
+/// trial; `pairs` are `(input, count)` runs in spec order, assigned to
+/// agents `0..n` in that order (order fixes interning and the RNG stream).
+///
+/// Every trial runs on the batched kernel,
+/// [`AgentSimulation::measure_stabilization_batched`]: it draws the same
+/// interactions as the sequential
+/// [`AgentSimulation::measure_stabilization`] and reports the same
+/// `stabilized_at`, `steps`, `effective_steps` and `outputs`, faster. The
+/// two differ only once a schedule starves, which needs crashed agents;
+/// this dispatcher takes no fault plan, so its runs never starve.
 ///
 /// Unlike [`run_counts_with`], there is no quiescence exit: the agents
 /// engine's front ends run protocols wrapped in the Theorem 7 baton
@@ -1609,7 +1619,7 @@ where
 pub fn run_agents<P, S, F>(
     spec: &RunSpec,
     protocol: &P,
-    inputs: &[P::Input],
+    pairs: &[(P::Input, u64)],
     expected: &P::Output,
     mk_sampler: F,
 ) -> Result<RunOutcome, SpecError>
@@ -1617,7 +1627,7 @@ where
     P: Protocol + Clone + Send + Sync,
     P::Input: Sync,
     P::Output: Sync,
-    S: PairSampler,
+    S: BatchPairSampler,
     F: Fn() -> S + Sync,
 {
     if spec.faults.is_some() {
@@ -1631,11 +1641,13 @@ where
         ));
     }
     let horizon = spec.effective_horizon();
-    let make = || AgentSimulation::from_inputs(protocol.clone(), inputs, mk_sampler());
+    let make = || AgentSimulation::from_input_runs(protocol.clone(), pairs, mk_sampler());
+    let starved = |e: PopulationError| SpecError::Internal(format!("agents run: {e}"));
     if spec.trials == 1 {
         let mut rng = seeded_rng(spec.seed);
         let mut sim = make();
-        let rep = sim.measure_stabilization(expected, horizon, &mut rng);
+        let rep =
+            sim.measure_stabilization_batched(expected, horizon, &mut rng).map_err(starved)?;
         return Ok(RunOutcome::Single(SingleRun {
             stabilized_at: rep.stabilized_at,
             silent_tail: rep.silent_tail(),
@@ -1645,10 +1657,15 @@ where
             outputs: outputs_of(sim.output_histogram()),
         }));
     }
-    let report = ensemble_of(spec).summarize(|_trial, rng| {
-        make().measure_stabilization(expected, horizon, rng).stabilized_at.map(|t| t as f64)
-    });
-    Ok(RunOutcome::Ensemble(report))
+    let records = ensemble_of(spec)
+        .map(|_trial, rng| {
+            let rep = make().measure_stabilization_batched(expected, horizon, rng)?;
+            Ok(rep.stabilized_at.map(|t| t as f64))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, PopulationError>>()
+        .map_err(starved)?;
+    Ok(RunOutcome::Ensemble(EnsembleReport::from_records(records)))
 }
 
 fn ensemble_of(spec: &RunSpec) -> Ensemble {

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rand::RngCore;
 
 /// Three-state approximate majority: transitions in every direction, so the
-/// frozen δ-table sees a rich rule set.
+/// dense δ-table sees a rich rule set.
 fn approx_majority() -> impl Protocol<State = u8, Input = u8, Output = u8> {
     FnProtocol::new(
         |&x: &u8| x,

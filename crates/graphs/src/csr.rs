@@ -149,8 +149,13 @@ impl CsrGraph {
     ///
     /// Panics if the graph has no edges.
     pub fn scheduler(&self) -> CsrScheduler {
-        CsrScheduler::from_csr(self.n, self.offsets.clone(), self.edges.clone())
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.clone().into_scheduler()
+    }
+
+    /// [`scheduler`](Self::scheduler) without the copy: the CSR arrays move
+    /// into the sampler.
+    pub fn into_scheduler(self) -> CsrScheduler {
+        CsrScheduler::from_csr(self.n, self.offsets, self.edges).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -139,6 +139,12 @@ impl InteractionGraph {
     pub fn scheduler(&self) -> EdgeListScheduler {
         EdgeListScheduler::new(self.n, self.edges.clone())
     }
+
+    /// [`scheduler`](Self::scheduler) without the copy: the edge list moves
+    /// into the sampler.
+    pub fn into_scheduler(self) -> EdgeListScheduler {
+        EdgeListScheduler::new(self.n, self.edges)
+    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //!
 //! [`CompiledCache`] is the server's **only** mutable state, and it is
 //! purely memoization: compiled Presburger products (Cooper QE is the
-//! expensive step), mean-field drift fields, and interaction graphs, each
-//! behind a deterministic key. A cache hit returns an artifact
-//! *interchangeable* with a cold compile's, so cached and uncached
+//! expensive step), mean-field drift fields, and interaction-graph
+//! samplers, each behind a deterministic key. A cache hit returns an
+//! artifact *interchangeable* with a cold compile's, so cached and uncached
 //! responses are byte-identical — which is why the server can hold no
 //! other mutable state and still honor the reproducibility guarantee.
 //! Hit/miss status travels in HTTP headers, never in bodies.
@@ -27,7 +27,10 @@ use pp_core::spec::{
     check_population, counts_by_symbol, index_population, run_agents, run_counts_with,
     EngineSel, JsonValue, ProtocolRef, RunOutcome, RunReport, RunSpec, SpecError, TopologySpec,
 };
-use pp_core::{seeded_rng, JsonlSink, NoProbe, Probe, Protocol, Simulation, StateId};
+use pp_core::{
+    seeded_rng, CsrScheduler, EdgeListScheduler, JsonlSink, NoProbe, Probe, Protocol, Simulation,
+    StateId,
+};
 use pp_presburger::CompiledSpec;
 use pp_protocols::GraphSimulator;
 
@@ -77,7 +80,7 @@ pub struct CacheStats {
     pub compiled: usize,
     /// Mean-field drift fields held.
     pub drift: usize,
-    /// Interaction graphs held (edge-list + CSR).
+    /// Interaction-graph samplers held (edge-list + CSR).
     pub graphs: usize,
     /// Compile-cache hits since start.
     pub hits: u64,
@@ -96,15 +99,21 @@ impl CacheStats {
 }
 
 /// Keyed store of compiled artifacts reused across requests: Presburger
-/// products, drift fields, interaction graphs. Shared by every server
-/// worker behind `Arc`; all interior mutability is memoization (see the
-/// [module docs](self)).
+/// products, drift fields, interaction-graph samplers. Shared by every
+/// server worker behind `Arc`; all interior mutability is memoization (see
+/// the [module docs](self)).
+///
+/// A topology is held once, as the sampler the agents engine draws from:
+/// every request and every ensemble trial on it shares that one `Arc`
+/// (samplers are [`SharedPairSampler`](pp_core::SharedPairSampler)s), so
+/// no request copies the edge arrays and no graph copy stays resident
+/// beside the sampler.
 #[derive(Debug, Default)]
 pub struct CompiledCache {
     compiled: Mutex<HashMap<String, Arc<CompiledSpec>>>,
     drift: Mutex<DriftCache>,
-    graphs: Mutex<HashMap<String, Arc<pp_graphs::InteractionGraph>>>,
-    csr: Mutex<HashMap<String, Arc<pp_graphs::CsrGraph>>>,
+    graphs: Mutex<HashMap<String, Arc<EdgeListScheduler>>>,
+    csr: Mutex<HashMap<String, Arc<CsrScheduler>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -145,30 +154,19 @@ impl CompiledCache {
         Ok((compiled, CacheStatus::Miss))
     }
 
-    fn graph(
-        &self,
+    /// The sampler cached under `key` in `map`, built on first use (outside
+    /// the lock; racers build interchangeable samplers, last insert wins).
+    fn sampler<S>(
+        map: &Mutex<HashMap<String, Arc<S>>>,
         key: &str,
-        build: impl FnOnce() -> pp_graphs::InteractionGraph,
-    ) -> Arc<pp_graphs::InteractionGraph> {
-        if let Some(g) = lock(&self.graphs).get(key) {
-            return Arc::clone(g);
+        build: impl FnOnce() -> S,
+    ) -> Arc<S> {
+        if let Some(s) = lock(map).get(key) {
+            return Arc::clone(s);
         }
-        let g = Arc::new(build());
-        lock(&self.graphs).insert(key.to_string(), Arc::clone(&g));
-        g
-    }
-
-    fn csr(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> pp_graphs::CsrGraph,
-    ) -> Arc<pp_graphs::CsrGraph> {
-        if let Some(g) = lock(&self.csr).get(key) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(build());
-        lock(&self.csr).insert(key.to_string(), Arc::clone(&g));
-        g
+        let s = Arc::new(build());
+        lock(map).insert(key.to_string(), Arc::clone(&s));
+        s
     }
 
     /// Current statistics.
@@ -331,8 +329,7 @@ where
             (outcome, None, probe)
         }
         EngineSel::Agents => {
-            let (outcome, edges) =
-                run_on_topology(spec, cache, &protocol, &indexed, &expected, to_input)?;
+            let (outcome, edges) = run_on_topology(spec, cache, &protocol, &pairs, &expected)?;
             (outcome, Some(edges), probe)
         }
         EngineSel::MeanField => {
@@ -354,20 +351,18 @@ where
     Ok((report, probe))
 }
 
-/// The agents engine: materialize the topology (cached), wrap the protocol
-/// in the Theorem 7 simulator `A′`, and dispatch.
-fn run_on_topology<P, FI>(
+/// The agents engine: materialize the topology's sampler (cached), wrap the
+/// protocol in the Theorem 7 simulator `A′`, and dispatch.
+fn run_on_topology<P>(
     spec: &RunSpec,
     cache: &CompiledCache,
     protocol: &P,
-    indexed: &[(usize, u64)],
+    pairs: &[(P::Input, u64)],
     expected: &bool,
-    to_input: FI,
 ) -> Result<(RunOutcome, u64), SpecError>
 where
     P: Protocol<Output = bool> + Clone + Send + Sync,
     P::Input: Sync,
-    FI: Fn(usize) -> P::Input + Copy,
 {
     let n64 = spec.population_size();
     // The Theorem 7 baton construction assumes n ≥ 4; the paper covers
@@ -379,14 +374,6 @@ where
     }
     let n = usize::try_from(n64)
         .map_err(|_| SpecError::Internal("population exceeds usize".to_string()))?;
-
-    // Per-agent inputs in spec order (order is semantic, as for counts).
-    let mut inputs: Vec<P::Input> = Vec::with_capacity(n);
-    for &(sym, count) in indexed {
-        for _ in 0..count {
-            inputs.push(to_input(sym));
-        }
-    }
 
     // Resolve the topology to its cache key, size check and builder. Each
     // graph kind gets exactly one `run_agents` call, so the per-interaction
@@ -403,19 +390,22 @@ where
                 }
                 other => format!("{}:n={n}", other.kind()),
             };
-            let graph = cache.graph(&key, || match topo {
-                TopologySpec::Complete => pp_graphs::complete(n),
-                TopologySpec::Line => pp_graphs::undirected_line(n),
-                TopologySpec::Cycle => pp_graphs::undirected_cycle(n),
-                TopologySpec::Star => pp_graphs::star(n),
-                TopologySpec::Random { p, graph_seed } => {
-                    pp_graphs::erdos_renyi_connected(n, p, &mut seeded_rng(graph_seed))
+            let sampler = CompiledCache::sampler(&cache.graphs, &key, || {
+                match topo {
+                    TopologySpec::Complete => pp_graphs::complete(n),
+                    TopologySpec::Line => pp_graphs::undirected_line(n),
+                    TopologySpec::Cycle => pp_graphs::undirected_cycle(n),
+                    TopologySpec::Star => pp_graphs::star(n),
+                    TopologySpec::Random { p, graph_seed } => {
+                        pp_graphs::erdos_renyi_connected(n, p, &mut seeded_rng(graph_seed))
+                    }
+                    _ => unreachable!("tori matched above"),
                 }
-                _ => unreachable!("tori matched above"),
+                .into_scheduler()
             });
-            let edges = graph.edge_count() as u64;
+            let edges = sampler.edges().len() as u64;
             let outcome =
-                run_agents(spec, &wrapped, &inputs, expected, move || graph.scheduler())?;
+                run_agents(spec, &wrapped, pairs, expected, || Arc::clone(&sampler))?;
             return Ok((outcome, edges));
         }
     };
@@ -429,12 +419,15 @@ where
             detail: format!("{kind} {dims} needs population {cells}, got {n}"),
         });
     }
-    let graph = cache.csr(&format!("{kind}:{dims}"), || match d {
-        None => pp_graphs::torus2d_csr(w, h),
-        Some(d) => pp_graphs::torus3d_csr(w, h, d),
+    let sampler = CompiledCache::sampler(&cache.csr, &format!("{kind}:{dims}"), || {
+        match d {
+            None => pp_graphs::torus2d_csr(w, h),
+            Some(d) => pp_graphs::torus3d_csr(w, h, d),
+        }
+        .into_scheduler()
     });
-    let edges = graph.edge_count() as u64;
-    let outcome = run_agents(spec, &wrapped, &inputs, expected, move || graph.scheduler())?;
+    let edges = sampler.edge_count() as u64;
+    let outcome = run_agents(spec, &wrapped, pairs, expected, || Arc::clone(&sampler))?;
     Ok((outcome, edges))
 }
 
